@@ -2,12 +2,15 @@
 
 ``bareiss_det`` is the fraction-free elimination determinant used for all
 plain integer matrices (Matrix-Tree minors, Schur-style block checks,
-evaluation points).  ``polymat_det`` computes determinants of matrices
-with polynomial entries by evaluation and interpolation on the grid
-0, 1, -1, 2, -2, ...; large instances go through an exact modular (CRT)
-path whose prime budget is certified by a Hadamard/Cauchy coefficient
-bound and whose result is spot-checked against a fraction-free
-determinant at a fresh evaluation point.
+evaluation points).  ``charpoly`` reduces the matrix to Hessenberg form
+modulo 31-bit primes, runs the Hessenberg characteristic-polynomial
+recurrence per prime and combines the primes by CRT; the prime budget is
+certified by a Hadamard/Cauchy coefficient bound on x I - M and the
+result is spot-checked against a fraction-free determinant.
+``polymat_det`` computes determinants of matrices with polynomial
+entries by evaluation and interpolation on the grid 0, 1, -1, 2, -2, ...;
+large instances go through a modular path with the same certified bound
+and an exact spot check at a fresh evaluation point.
 """
 
 from __future__ import annotations
@@ -267,22 +270,34 @@ def _primes_31bit(count: int) -> list[int]:
     return _PRIME_POOL[:count]
 
 
-def _hadamard_coeff_bound_sq(pm: PolyMatrix) -> int:
-    """Square of an upper bound on |any coefficient of det(pm)|.
+def _hadamard_coeff_bound_sq(row_norms_sq: Iterable[int]) -> int:
+    """Square of an upper bound on |any coefficient of a determinant polynomial|.
 
-    On |u| = 1 every entry is bounded by the l1 norm of its coefficients,
-    so Hadamard's inequality bounds max_{|u|=1} |det| by the product of
-    row norms, and Cauchy's estimate bounds every coefficient by that
-    maximum.  Returned squared to stay in integer arithmetic.
+    ``row_norms_sq`` gives, per row, the sum over its entries of the
+    squared l1 norm of the entry's coefficients.  On |u| = 1 every entry is
+    bounded by that l1 norm, so Hadamard's inequality bounds
+    max_{|u|=1} |det| by the product of row norms, and Cauchy's estimate
+    bounds every coefficient by that maximum.  Returned squared to stay in
+    integer arithmetic.
     """
     bound_sq = 1
-    for row in pm.entries:
-        row_sq = 0
-        for e in row:
-            l1 = sum(abs(c) for c in e.coeffs)
-            row_sq += l1 * l1
+    for row_sq in row_norms_sq:
         bound_sq *= max(row_sq, 1)
     return bound_sq
+
+
+def _certified_primes(bound_sq: int) -> list[int]:
+    """The fewest 31-bit primes whose product exceeds twice the bound.
+
+    With ``bound_sq`` from ``_hadamard_coeff_bound_sq``, the symmetric CRT
+    lift over these primes recovers every coefficient exactly.
+    """
+    primes: list[int] = []
+    prod = 1
+    while prod * prod <= 4 * bound_sq:
+        primes = _primes_31bit(len(primes) + 1)
+        prod *= primes[-1]
+    return primes
 
 
 def _det_mod_p(a: np.ndarray, p: int) -> int:
@@ -389,12 +404,10 @@ def _polymat_det_modular(pm: PolyMatrix) -> IntPoly:
             for j, e in enumerate(row):
                 stack[ti, i, j] = e(t)
 
-    bound_sq = _hadamard_coeff_bound_sq(pm)
-    primes: list[int] = []
-    prod = 1
-    while prod * prod <= 4 * bound_sq:
-        primes = _primes_31bit(len(primes) + 1)
-        prod *= primes[-1]
+    bound_sq = _hadamard_coeff_bound_sq(
+        sum(sum(abs(c) for c in e.coeffs) ** 2 for e in row) for row in pm.entries
+    )
+    primes = _certified_primes(bound_sq)
 
     residue_lists = []
     for p in primes:
@@ -432,20 +445,81 @@ def polymat_det(pm: PolyMatrix, engine: str = "auto") -> IntPoly:
     raise ValueError(f"unknown engine {engine!r}")
 
 
+def _charpoly_mod_p(a: np.ndarray, p: int) -> list[int]:
+    """Coefficients mod p of det(x I - a), lowest degree first.
+
+    The matrix is brought to upper Hessenberg form H by similarity
+    transforms mod p, then the characteristic polynomials p_c of the
+    leading c x c blocks of H follow from
+
+        p_{c+1} = (x - h_cc) p_c - sum_{r<c} h_rc (h_{r+1,r} ... h_{c,c-1}) p_r
+
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    A product of two residues is below 2^62, and products are reduced mod
+    p before they are summed, so every int64 sum has at most n + 1 terms
+    below p.
+    """
+    h = np.mod(a, p).astype(np.int64, copy=False)
+    n = h.shape[0]
+    for k in range(1, n - 1):
+        if h[k, k - 1] == 0:
+            i = k + int(h[k:, k - 1].argmax())
+            if h[i, k - 1] == 0:
+                continue  # column already zero below the subdiagonal
+            h[[k, i]] = h[[i, k]]
+            h[:, [k, i]] = h[:, [i, k]]
+        # row_i -= u_i row_k for i > k, then the inverse column operation
+        u = h[k + 1 :, k - 1] * pow(int(h[k, k - 1]), -1, p) % p
+        h[k + 1 :, k - 1 :] = (h[k + 1 :, k - 1 :] - u[:, None] * h[k, k - 1 :]) % p
+        h[:, k] = (h[:, k] + (h[:, k + 1 :] * u % p).sum(axis=1)) % p
+
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    sub_prod = np.zeros(n, dtype=np.int64)  # r -> h_{r+1,r} ... h_{c,c-1} mod p
+    for c in range(n):
+        prev, nxt = polys[c, : c + 1], polys[c + 1]
+        nxt[1 : c + 2] = prev
+        nxt[: c + 1] -= h[c, c] * prev % p
+        if c:
+            sub_prod[c - 1] = 1
+            sub_prod[:c] = sub_prod[:c] * h[c, c - 1] % p
+            coef = h[:c, c] * sub_prod[:c] % p
+            nxt[:c] -= (coef[:, None] * polys[:c, :c] % p).sum(axis=0)
+        nxt %= p
+    return polys[n].tolist()
+
+
+# fixed point of the exact spot check det(t I - M) = charpoly(M)(t)
+_SPOT_CHECK_T = 2
+
+
 def charpoly(m: IntMatrix) -> IntPoly:
-    """Monic characteristic polynomial det(x I - m), exact."""
+    """Monic characteristic polynomial det(x I - m), exact.
+
+    One Hessenberg reduction per 31-bit prime, CRT over a prime budget
+    certified by the Hadamard/Cauchy bound on x I - m (a diagonal entry
+    counts as 1 + |m_ii|), then an exact fraction-free spot check at
+    x = 2.  A failed check raises ``IntegralityViolation``.
+    """
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    x = IntPoly.x()
-    entries = [
-        [
-            x - IntPoly((m.entries[i][j],)) if i == j else IntPoly((-m.entries[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    result = polymat_det(PolyMatrix(tuple(tuple(r) for r in entries), degree_bound=n))
-    if n and result.coeffs[-1] != 1:
+    if n == 0:
+        return IntPoly.one()
+    rows = m.entries
+    bound_sq = _hadamard_coeff_bound_sq(
+        sum(x * x for x in row) + 2 * abs(row[i]) + 1 for i, row in enumerate(rows)
+    )
+    primes = _certified_primes(bound_sq)
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array(rows, dtype=object)
+    result = IntPoly(_crt([_charpoly_mod_p(a, p) for p in primes], primes))
+    if result.coeffs[-1] != 1:
         raise IntegralityViolation("characteristic polynomial is not monic")
+    t = _SPOT_CHECK_T
+    shifted = [[(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if result(t) != bareiss_det(shifted):
+        raise IntegralityViolation("characteristic polynomial failed exact spot check")
     return result

@@ -5,7 +5,10 @@ vertices is (1 - u^2)^(m-n) * f(u) where f(u) = det(I - u*A + u^2*(D - I))
 is the Bass determinant polynomial.  Independent oracles computed here:
 
 * the Hashimoto (non-backtracking edge) operator B, whose determinant
-  det(I - u*B) equals the reciprocal zeta function;
+  det(I - u*B) equals the reciprocal zeta function; it is the reversed
+  characteristic polynomial of B, computed by the modular Hessenberg
+  kernel ``charpoly``, while f goes through ``polymat_det``, so the two
+  sides share no determinant kernel;
 * the closed non-backtracking walk series sum_k trace(B^k) u^k / k, which
   must match the truncated -log of the reciprocal zeta function;
 * the Matrix-Tree spanning tree count tau, tied to f by the derivative
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DegreeOneWarning, DisconnectedError
 from .graphs import Graph
-from .matrices import IntMatrix, PolyMatrix, bareiss_det, polymat_det
+from .matrices import IntMatrix, PolyMatrix, bareiss_det, charpoly, polymat_det
 from .polynomials import IntPoly, RatPoly, series_log
 
 _ONE_MINUS_U2 = IntPoly((1, 0, -1))
@@ -119,30 +122,23 @@ def hashimoto(g: Graph) -> HashimotoMatrix:
 def edge_zeta_reciprocal(g: Graph) -> IntPoly:
     """det(I - u*B) for the Hashimoto operator B, exact, degree <= 2m.
 
-    Computed directly from the 2m x 2m edge matrix; serves as an
-    independent oracle for the Bass route to the reciprocal zeta function.
+    det(I - u*B) = u^(2m) det(u^-1 I - B), so its coefficients are those
+    of charpoly(B) in reverse order.  Serves as an independent oracle for
+    the Bass route to the reciprocal zeta function.
     """
     _require_connected(g)
-    h = hashimoto(g)
-    size = h.size
-    if size == 0:
-        return IntPoly.one()
-    one = IntPoly.one()
-    minus_u = IntPoly((0, -1))
-    zero = IntPoly()
-    b = h.matrix.entries
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == j:
-                row.append(one)
-            elif b[i][j]:
-                row.append(minus_u)
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return polymat_det(PolyMatrix(tuple(rows), degree_bound=size))
+    return IntPoly(reversed(charpoly(hashimoto(g).matrix).coeffs))
+
+
+def _traces_fit_int64(size: int, max_step: int, order: int) -> bool:
+    """Whether int64 arithmetic computes trace(B^k), k <= order, exactly.
+
+    A row of B sums to at most ``max_step``, so every entry of B^k and
+    every partial sum of the product that forms it are at most
+    max_step**k, and every partial sum of trace(B^k) is at most
+    size * max_step**k.
+    """
+    return size * max_step**order < 2**63
 
 
 def _hashimoto_traces(g: Graph, order: int) -> list[int]:
@@ -153,9 +149,8 @@ def _hashimoto_traces(g: Graph, order: int) -> list[int]:
     size = h.size
     if size == 0:
         return [0] * order
-    max_step = max(g.degrees) - 1
-    if max_step >= 2 and max_step**order >= 2**62:
-        # big-integer fallback; int64 powers could overflow
+    if not _traces_fit_int64(size, max(g.degrees) - 1, order):
+        # big-integer fallback; int64 sums could overflow
         cur = h.matrix
         traces = [cur.trace()]
         for _ in range(order - 1):

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ratlinalg import frac_det, frac_inv, frac_matmul, frac_matrix, frac_sub
 from zetajoin import (
+    IntegralityViolation,
     IntMatrix,
     IntPoly,
     PolyMatrix,
@@ -15,6 +18,7 @@ from zetajoin import (
     poly_of_matrix,
     polymat_det,
 )
+from zetajoin import matrices
 
 
 def _random_int_matrix(rng, n, lo=-5, hi=5):
@@ -190,6 +194,73 @@ def test_cayley_hamilton_random_01():
                 rows[i][j] = rows[j][i] = rng.randint(0, 1)
         m = IntMatrix(rows)
         assert poly_of_matrix(charpoly(m), m) == IntMatrix.zeros(n, n)
+
+
+@st.composite
+def int_matrices(draw):
+    """Square integer matrices of size 0-12 with entries of both signs.
+
+    The entry scale reaches 10^6, where the coefficients need several
+    primes.  Half the time the matrix is block upper triangular with a
+    leading block of size j, so column j - 1 is zero below the
+    subdiagonal when the Hessenberg reduction reaches it.
+    """
+    n = draw(st.integers(0, 12))
+    scale = draw(st.sampled_from([1, 9, 10**6]))
+    entry = st.integers(-scale, scale)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        j = draw(st.integers(1, n - 2))
+        for i in range(j, n):
+            rows[i][:j] = [0] * j
+    return IntMatrix(rows)
+
+
+def _char_matrix(m):
+    """x I - m as a polynomial matrix."""
+    n = m.rows
+    return PolyMatrix(
+        tuple(
+            tuple(IntPoly([-m[i, j], 1 if i == j else 0]) for j in range(n))
+            for i in range(n)
+        ),
+        degree_bound=n,
+    )
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(int_matrices())
+def test_charpoly_matches_bareiss_interpolation(m):
+    assert charpoly(m) == polymat_det(_char_matrix(m), engine="bareiss")
+
+
+def test_charpoly_large_entries_beyond_int64():
+    m = IntMatrix([[2**70, 3], [-5, -(2**65)]])
+    expected = IntPoly([-(2**135) + 15, 2**65 - 2**70, 1])
+    assert charpoly(m) == expected
+
+
+def test_charpoly_spot_check_fires_on_missing_prime(monkeypatch):
+    rng = random.Random(47)
+    m = _random_int_matrix(rng, 6, -(10**6), 10**6)
+    certified = matrices._certified_primes
+    budgets = []
+
+    def one_prime_short(bound_sq):
+        primes = certified(bound_sq)
+        budgets.append(len(primes))
+        return primes[:-1]
+
+    monkeypatch.setattr(matrices, "_certified_primes", one_prime_short)
+    with pytest.raises(IntegralityViolation, match="spot check"):
+        charpoly(m)
+    assert budgets[0] > 1
 
 
 def test_schur_complement_determinant():

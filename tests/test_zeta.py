@@ -1,16 +1,21 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from zetajoin import (
     DegreeOneWarning,
     DisconnectedError,
     IntPoly,
+    NotBipartiteError,
+    NotSemiRegularError,
     RatPoly,
     bass_poly,
     build_graph,
     charpoly,
     corpus_factors,
+    detect_semiregular,
     edge_zeta_reciprocal,
     gen_complete_bipartite,
     gen_even_cycle,
@@ -23,6 +28,7 @@ from zetajoin import (
     zeta_reciprocal,
     zeta_report,
 )
+from zetajoin import matrices, zeta
 
 ONE_MINUS_U2 = IntPoly([1, 0, -1])
 
@@ -113,6 +119,99 @@ def test_edge_oracle_k23():
 def test_edge_oracle_requires_connected():
     with pytest.raises(DisconnectedError):
         edge_zeta_reciprocal(build_graph(4, [(0, 1), (2, 3)]))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 2-12 vertices plus random chords.
+
+    Each vertex v > 0 hangs off a random earlier vertex, so leaves
+    (degree-1 vertices) are common.
+    """
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges.update((min(u, v), max(u, v)) for u, v in chords if u != v)
+    return build_graph(n, sorted(edges))
+
+
+def _semiregular_bipartite(g):
+    """Whether g lies in the class of the four generator families."""
+    try:
+        detect_semiregular(g)
+    except (NotBipartiteError, NotSemiRegularError):
+        return False
+    return True
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(connected_graphs())
+def test_edge_oracle_matches_bass_on_random_graphs(g):
+    assume(not _semiregular_bipartite(g))
+    edge = edge_zeta_reciprocal(g)
+    f = bass_poly(g)
+    exponent = g.m - g.n
+    if exponent >= 0:
+        assert edge == ONE_MINUS_U2**exponent * f
+    else:
+        assert edge * ONE_MINUS_U2 ** (-exponent) == f
+
+
+def _forbidden(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} must not run here")
+
+    return fail
+
+
+def test_edge_oracle_uses_no_polymat_det(monkeypatch, petersen):
+    graphs = [petersen, join(gen_complete_bipartite(2, 3).graph, gen_even_cycle(3).graph)]
+    expected = [ONE_MINUS_U2 ** (g.m - g.n) * bass_poly(g) for g in graphs]
+    for module, name in [
+        (zeta, "polymat_det"),
+        (matrices, "polymat_det"),
+        (matrices, "_det_mod_p"),
+        (matrices, "_newton_interp_mod"),
+    ]:
+        monkeypatch.setattr(module, name, _forbidden(name))
+    assert [edge_zeta_reciprocal(g) for g in graphs] == expected
+
+
+def test_bass_poly_uses_no_hessenberg_kernel(monkeypatch, k4):
+    c26 = gen_even_cycle(13).graph  # n = 26: the modular polymat_det engine
+    expected_k4 = edge_zeta_reciprocal(k4).divexact(ONE_MINUS_U2**2)
+    monkeypatch.setattr(matrices, "_charpoly_mod_p", _forbidden("_charpoly_mod_p"))
+    monkeypatch.setattr(matrices, "charpoly", _forbidden("charpoly"))
+    monkeypatch.setattr(zeta, "charpoly", _forbidden("charpoly"))
+    assert bass_poly(k4) == expected_k4
+    assert bass_poly(c26) == IntPoly([1] + [0] * 25 + [-1]) ** 2
+
+
+def test_trace_guard_rejects_overflow_reproducer():
+    # five K16 - e blocks chained into a 15-regular graph (n = 80,
+    # 2m = 1200): 14**16 < 2**62, yet trace(B^16) ~ 9.5e18 exceeds int64
+    assert not zeta._traces_fit_int64(1200, 14, 16)
+
+
+def test_trace_guard_accepts_largest_int64_benchmark_graphs():
+    # n = 29, m = 87, maximum degree 10, order 16: 174 * 9**16 ~ 0.035 * 2**63
+    assert zeta._traces_fit_int64(174, 9, 16)
+    # K3,3 v K3,3 (2m = 108, degree 9) at the default order 12
+    assert zeta._traces_fit_int64(108, 8, 12)
+    # a degree-17 hub at order 16 stays on the big-integer path
+    assert not zeta._traces_fit_int64(108, 16, 16)
+
+
+def test_trace_paths_agree(monkeypatch, petersen):
+    fast = zeta._hashimoto_traces(petersen, 16)
+    monkeypatch.setattr(zeta, "_traces_fit_int64", lambda *args: False)
+    assert zeta._hashimoto_traces(petersen, 16) == fast
 
 
 def test_nb_walk_series_c4():
