@@ -198,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus-verify", help="run the deterministic corpus")
     p.add_argument("--max-vertices", type=int, default=10)
     p.add_argument("--order", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; the corpus is deterministic")
     p.set_defaults(func=_cmd_corpus_verify)
 
     return parser

@@ -15,6 +15,8 @@ nu2 = n3+n4, eps1 = n1*q1, eps2 = n3*q3, the join G = G1 v G2 has:
 Every closed form is verified against the generic machinery of the zeta
 module: the spectrum and zeta statements as cleared-denominator integer
 polynomial identities, the tree count against the Matrix-Tree oracle.
+``verify_join`` computes the join, the factor spectra, the Bass
+polynomial and the tree count once and runs every check on them.
 The nonzero factor eigenvalues enter through the monic integer
 polynomial whose roots are their squares (from the characteristic
 polynomial of E E^T, E the biadjacency block), never through floats.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BiconditionalViolation,
@@ -32,6 +35,7 @@ from .errors import (
     OracleMismatchError,
 )
 from .graphs import (
+    Graph,
     SemiRegularBipartite,
     build_graph,
     gen_complete_bipartite,
@@ -42,13 +46,12 @@ from .graphs import (
 )
 from .matrices import charpoly
 from .numeric import jacobi_eigenvalues, real_roots
-from .polynomials import IntPoly, poly_gcd
+from .polynomials import IntPoly, poly_gcd, series_log
 from .zeta import (
     bass_poly,
     edge_zeta_reciprocal,
     nb_walk_series,
     spanning_trees,
-    zeta_log_series,
     zeta_reciprocal,
 )
 
@@ -115,23 +118,59 @@ class JoinParams:
         }
 
 
-def _params(
-    g1: SemiRegularBipartite,
-    g2: SemiRegularBipartite,
-    fs1: FactorSpectrum,
-    fs2: FactorSpectrum,
-) -> JoinParams:
-    return JoinParams(
-        nu1=g1.nu, nu2=g2.nu,
-        eps1=g1.eps, eps2=g2.eps,
-        q1=g1.q1, q2=g1.q2, q3=g2.q1, q4=g2.q2,
-        n1=g1.n1, n2=g1.n2, n3=g2.n1, n4=g2.n2,
-        k1=fs1.k, k2=fs2.k,
-    )
+@dataclass(frozen=True)
+class _Join:
+    """The quantities of one join G1 v G2, each computed at most once.
+
+    Every field is computed on first use, so a check reads only what it
+    needs (the spectrum check never computes the Bass polynomial).  An
+    instance lives for one call; nothing is cached across calls.
+    """
+
+    g1: SemiRegularBipartite
+    g2: SemiRegularBipartite
+
+    @cached_property
+    def fs1(self) -> FactorSpectrum:
+        return factor_spectrum(self.g1)
+
+    @cached_property
+    def fs2(self) -> FactorSpectrum:
+        return factor_spectrum(self.g2)
+
+    @cached_property
+    def params(self) -> JoinParams:
+        g1, g2 = self.g1, self.g2
+        return JoinParams(
+            nu1=g1.nu, nu2=g2.nu,
+            eps1=g1.eps, eps2=g2.eps,
+            q1=g1.q1, q2=g1.q2, q3=g2.q1, q4=g2.q2,
+            n1=g1.n1, n2=g1.n2, n3=g2.n1, n4=g2.n2,
+            k1=self.fs1.k, k2=self.fs2.k,
+        )
+
+    @cached_property
+    def graph(self) -> Graph:
+        return join(self.g1.graph, self.g2.graph)
+
+    @cached_property
+    def f(self) -> IntPoly:
+        """The Bass polynomial of the join."""
+        return bass_poly(self.graph)
+
+    @cached_property
+    def zeta_reciprocal(self) -> IntPoly:
+        """(1 - u^2)^(m - n) f; a join always has m > n."""
+        return self.f * _ONE_MINUS_U2 ** (self.graph.m - self.graph.n)
+
+    @cached_property
+    def tau(self) -> int:
+        """Matrix-Tree count of the join."""
+        return spanning_trees(self.graph)
 
 
 def join_params(g1: SemiRegularBipartite, g2: SemiRegularBipartite) -> JoinParams:
-    return _params(g1, g2, factor_spectrum(g1), factor_spectrum(g2))
+    return _Join(g1, g2).params
 
 
 def quartic_f(p: JoinParams) -> IntPoly:
@@ -169,14 +208,15 @@ def spectrum_closed_form(
     where z is the total zero multiplicity, f the quartic, and p1, p2 the
     monic nonzero-square polynomials of the factors.
     """
-    fs1 = factor_spectrum(g1)
-    fs2 = factor_spectrum(g2)
-    p = _params(g1, g2, fs1, fs2)
+    return _spectrum_closed_form(_Join(g1, g2))
+
+
+def _spectrum_closed_form(j: _Join) -> JoinSpectrum:
+    fs1, fs2, p = j.fs1, j.fs2, j.params
     f = quartic_f(p)
     z = p.nu1 - 2 * p.k1 + p.nu2 - 2 * p.k2
 
-    jg = join(g1.graph, g2.graph)
-    phi = charpoly(jg.adjacency())
+    phi = charpoly(j.graph.adjacency())
     t2 = _U2
     lhs = (t2 - p.q1 * p.q2) * (t2 - p.q3 * p.q4) * phi
     rhs = (
@@ -260,9 +300,11 @@ def zeta_closed_form(
 
     Returns the closed form and the assembled reciprocal zeta polynomial.
     """
-    fs1 = factor_spectrum(g1)
-    fs2 = factor_spectrum(g2)
-    p = _params(g1, g2, fs1, fs2)
+    return _zeta_closed_form(_Join(g1, g2))
+
+
+def _zeta_closed_form(j: _Join) -> tuple[ClosedFormZeta, IntPoly]:
+    fs1, fs2, p = j.fs1, j.fs2, j.params
 
     x1 = IntPoly((1, 0, p.q1 + p.nu2 - 1))
     x2 = IntPoly((1, 0, p.q2 + p.nu2 - 1))
@@ -276,15 +318,13 @@ def zeta_closed_form(
     p1_homog = _homogenize(fs1.p_nonzero, x1 * x2, p.k1)
     p2_homog = _homogenize(fs2.p_nonzero, x3 * x4, p.k2)
 
-    jg = join(g1.graph, g2.graph)
-    f_join = bass_poly(jg)
     x_powers = (
         x1 ** (p.n1 - p.k1)
         * x2 ** (p.n2 - p.k1)
         * x3 ** (p.n3 - p.k2)
         * x4 ** (p.n4 - p.k2)
     )
-    if qa * qb * f_join != x_powers * h * p1_homog * p2_homog:
+    if qa * qb * j.f != x_powers * h * p1_homog * p2_homog:
         raise IdentityViolation("zeta multiply-through identity failed")
 
     # assembled polynomial: strip one Perron factor from each P exactly
@@ -296,7 +336,7 @@ def zeta_closed_form(
     )
     exponent = p.eps1 + p.eps2 + p.nu1 * p.nu2 - p.nu1 - p.nu2
     assembled = _ONE_MINUS_U2**exponent * x_powers * h * p1_hat * p2_hat
-    if assembled != zeta_reciprocal(jg):
+    if assembled != j.zeta_reciprocal:
         raise IdentityViolation("assembled closed form differs from reciprocal zeta")
 
     closed = ClosedFormZeta(
@@ -323,9 +363,11 @@ def tau_closed_form(g1: SemiRegularBipartite, g2: SemiRegularBipartite) -> int:
     result is compared against the Matrix-Tree count of the join and an
     OracleMismatchError is raised on disagreement.
     """
-    fs1 = factor_spectrum(g1)
-    fs2 = factor_spectrum(g2)
-    p = _params(g1, g2, fs1, fs2)
+    return _tau_closed_form(_Join(g1, g2))
+
+
+def _tau_closed_form(j: _Join) -> int:
+    fs1, fs2, p = j.fs1, j.fs2, j.params
 
     big1 = (p.q1 + p.nu2) * (p.q2 + p.nu2)
     big2 = (p.q3 + p.nu1) * (p.q4 + p.nu1)
@@ -346,9 +388,8 @@ def tau_closed_form(g1: SemiRegularBipartite, g2: SemiRegularBipartite) -> int:
         * prods[0]
         * prods[1]
     )
-    oracle = spanning_trees(join(g1.graph, g2.graph))
-    if tau != oracle:
-        raise OracleMismatchError(f"closed form {tau} != Matrix-Tree {oracle}")
+    if tau != j.tau:
+        raise OracleMismatchError(f"closed form {tau} != Matrix-Tree {j.tau}")
     return tau
 
 
@@ -605,12 +646,15 @@ def verify_join(
 
     The edge-operator oracle (a 2m x 2m exact determinant) runs only when
     requested; the walk-series check runs when the join has at most
-    ``series_vertex_cap`` vertices.
+    ``series_vertex_cap`` vertices.  The join, its factor spectra, Bass
+    polynomial and tree count are each computed once and shared by the
+    checks.
     """
-    jg = join(g1.graph, g2.graph)
+    j = _Join(g1, g2)
+    jg = j.graph
 
     try:
-        spec = spectrum_closed_form(g1, g2)
+        spec = _spectrum_closed_form(j)
         spectrum_identity = True
         numeric = jacobi_eigenvalues(jg.adjacency().to_float_array())
         err = max(
@@ -623,31 +667,32 @@ def verify_join(
         spectrum_numeric_ok = False
 
     try:
-        zeta_closed_form(g1, g2)
+        _zeta_closed_form(j)
         zeta_identity = True
     except IdentityViolation:
         zeta_identity = False
 
-    f_join = bass_poly(jg)
-    mt = spanning_trees(jg)
     try:
-        tau = tau_closed_form(g1, g2)
-        deriv = f_join.derivative()(1)
+        tau = _tau_closed_form(j)  # equals j.tau or raises
+        deriv = j.f.derivative()(1)
         denom = 2 * (jg.m - jg.n)
-        tau_triple = (deriv % denom == 0) and (deriv // denom == tau) and (tau == mt)
+        tau_triple = (deriv % denom == 0) and (deriv // denom == tau)
     except (OracleMismatchError, ExactDivisionFailure):
-        tau = mt
+        tau = j.tau
         tau_triple = False
 
-    roots_ok = no_symmetric_roots_check(join_params(g1, g2))
+    roots_ok = no_symmetric_roots_check(j.params)
 
     edge_oracle = None
     if include_edge_oracle:
-        edge_oracle = edge_zeta_reciprocal(jg) == zeta_reciprocal(jg)
+        edge_oracle = edge_zeta_reciprocal(jg) == j.zeta_reciprocal
 
+    # -log of the reciprocal zeta; equals zeta_log_series since m >= n
     series_ok = None
     if jg.n <= series_vertex_cap:
-        series_ok = zeta_log_series(jg, series_order) == nb_walk_series(jg, series_order)
+        series_ok = series_log(j.zeta_reciprocal, series_order) == nb_walk_series(
+            jg, series_order
+        )
 
     return JoinVerification(
         label=label or "join",

@@ -8,9 +8,8 @@ recurrence per prime and combines the primes by CRT; the prime budget is
 certified by a Hadamard/Cauchy coefficient bound on x I - M and the
 result is spot-checked against a fraction-free determinant.
 ``polymat_det`` computes determinants of matrices with polynomial
-entries by evaluation and interpolation on the grid 0, 1, -1, 2, -2, ...;
-large instances go through a modular path with the same certified bound
-and an exact spot check at a fresh evaluation point.
+entries by fraction-free evaluation on the grid 0, 1, -1, 2, -2, ... and
+exact integer interpolation; it uses no primes.
 """
 
 from __future__ import annotations
@@ -231,6 +230,20 @@ class PolyMatrix:
         return IntMatrix([[e(t) for e in row] for row in self.entries])
 
 
+def polymat_det(pm: PolyMatrix) -> IntPoly:
+    """Exact determinant of a polynomial matrix, fraction-free.
+
+    ``bareiss_det`` at each of the degree_bound + 1 points of the grid
+    0, 1, -1, 2, -2, ..., then exact integer interpolation.  No primes
+    or CRT are involved, so this shares no kernel with ``charpoly``.
+    """
+    points = interpolation_points(pm.degree_bound + 1)
+    return interpolate_at_integers(points, [bareiss_det(pm.eval_at(t)) for t in points])
+
+
+# -- characteristic polynomial ------------------------------------------------
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -300,64 +313,6 @@ def _certified_primes(bound_sq: int) -> list[int]:
     return primes
 
 
-def _det_mod_p(a: np.ndarray, p: int) -> int:
-    """Determinant of an int64 matrix modulo a 31-bit prime."""
-    a = np.mod(a, p)
-    n = a.shape[0]
-    det = 1
-    sign = 1
-    for k in range(n):
-        col = a[k:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            sign = -sign
-        piv = int(a[k, k])
-        det = det * piv % p
-        if k + 1 < n:
-            inv = pow(piv, p - 2, p)
-            factors = a[k + 1 :, k] * inv % p
-            a[k + 1 :, k + 1 :] = (
-                a[k + 1 :, k + 1 :] - factors[:, None] * a[k, k + 1 :][None, :]
-            ) % p
-    return det * sign % p
-
-
-def _newton_interp_mod(points: Sequence[int], residues: Sequence[int], p: int) -> list[int]:
-    """Coefficients mod p of the polynomial through (points[i], residues[i])."""
-    n = len(points)
-    span = max(abs(x) for x in points) * 2 + 1 if points else 1
-    inv_table = [0] * (span + 1)
-    for d in range(1, span + 1):
-        inv_table[d] = pow(d, p - 2, p)
-
-    def inv_diff(d: int) -> int:
-        return inv_table[d] if d > 0 else p - inv_table[-d]
-
-    coef = [r % p for r in residues]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * inv_diff(points[i] - points[i - j]) % p
-    acc = [0] * n
-    basis = [1]
-    for k in range(n):
-        ck = coef[k]
-        if ck:
-            for d, b in enumerate(basis):
-                acc[d] = (acc[d] + ck * b) % p
-        if k + 1 < n:
-            nxt = [0] * (len(basis) + 1)
-            xk = points[k] % p
-            for d, b in enumerate(basis):
-                nxt[d] = (nxt[d] - b * xk) % p
-                nxt[d + 1] = (nxt[d + 1] + b) % p
-            basis = nxt
-    return acc
-
-
 def _crt(residue_lists: list[list[int]], primes: list[int]) -> list[int]:
     """Combine per-prime coefficient residues; symmetric lift to ints."""
     count = len(residue_lists[0])
@@ -375,74 +330,6 @@ def _crt(residue_lists: list[list[int]], primes: list[int]) -> list[int]:
         modulus *= p
     half = modulus // 2
     return [c - modulus if c > half else c for c in combined]
-
-
-def _polymat_det_bareiss(pm: PolyMatrix) -> IntPoly:
-    points = interpolation_points(pm.degree_bound + 1)
-    values = [bareiss_det(pm.eval_at(t)) for t in points]
-    return interpolate_at_integers(points, values)
-
-
-def _polymat_det_modular(pm: PolyMatrix) -> IntPoly:
-    n = pm.size
-    points = interpolation_points(pm.degree_bound + 1)
-    max_abs_t = max(abs(t) for t in points)
-
-    # exact integer evaluations, shared across primes; fall back to the
-    # fraction-free engine when values could overflow int64
-    value_bound = 0
-    for row in pm.entries:
-        for e in row:
-            b = sum(abs(c) * max_abs_t ** k for k, c in enumerate(e.coeffs))
-            value_bound = max(value_bound, b)
-    if value_bound >= 2**62:
-        return _polymat_det_bareiss(pm)
-
-    stack = np.empty((len(points), n, n), dtype=np.int64)
-    for ti, t in enumerate(points):
-        for i, row in enumerate(pm.entries):
-            for j, e in enumerate(row):
-                stack[ti, i, j] = e(t)
-
-    bound_sq = _hadamard_coeff_bound_sq(
-        sum(sum(abs(c) for c in e.coeffs) ** 2 for e in row) for row in pm.entries
-    )
-    primes = _certified_primes(bound_sq)
-
-    residue_lists = []
-    for p in primes:
-        dets = [_det_mod_p(stack[ti].copy(), p) for ti in range(len(points))]
-        residue_lists.append(_newton_interp_mod(points, dets, p))
-    coeffs = _crt(residue_lists, primes)
-    result = IntPoly(coeffs)
-
-    # exact spot check at a point outside the interpolation grid
-    t_star = max_abs_t + 1
-    if result(t_star) != bareiss_det(pm.eval_at(t_star)):
-        raise IntegralityViolation("modular determinant failed exact spot check")
-    return result
-
-
-# dimension above which the modular path beats per-point Bareiss elimination
-_MODULAR_CUTOFF = 24
-
-
-def polymat_det(pm: PolyMatrix, engine: str = "auto") -> IntPoly:
-    """Exact determinant of a polynomial matrix.
-
-    Both engines evaluate on the deterministic grid 0, 1, -1, 2, -2, ...
-    and interpolate; they produce identical results.  ``engine`` is
-    "auto", "bareiss" or "modular".
-    """
-    if pm.size == 0:
-        return IntPoly.one()
-    if engine == "auto":
-        engine = "modular" if pm.size >= _MODULAR_CUTOFF else "bareiss"
-    if engine == "bareiss":
-        return _polymat_det_bareiss(pm)
-    if engine == "modular":
-        return _polymat_det_modular(pm)
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 def _charpoly_mod_p(a: np.ndarray, p: int) -> list[int]:

@@ -3,7 +3,8 @@
 Coefficients are stored lowest degree first with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.
 ``IntPoly`` coefficients are Python ints (arbitrary precision), ``RatPoly``
-coefficients are ``fractions.Fraction``.
+coefficients are ``fractions.Fraction``.  Interpolation through integer
+data stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -508,35 +509,29 @@ def interpolation_points(count: int) -> list[int]:
 
 
 def interpolate_at_integers(points: Sequence[int], values: Sequence[int]) -> IntPoly:
-    """Exact Lagrange interpolation through integer data.
+    """Exact Lagrange interpolation through integer data at distinct integers.
 
-    Uses Newton divided differences over the rationals and asserts that
-    every coefficient of the result is an integer.
+    Newton divided differences in integer arithmetic.  At distinct
+    integer points every divided difference of an integer polynomial is
+    an integer, so an inexact division occurs exactly when the
+    interpolant has a non-integer coefficient; it raises
+    ``IntegralityViolation``.
     """
     if len(points) != len(values):
         raise ValueError("points and values must have equal length")
     n = len(points)
-    if n == 0:
-        return IntPoly()
-    coef = [Fraction(v) for v in values]
+    coef = [int(v) for v in values]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
-    acc = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for k in range(n):
-        if coef[k]:
-            for d, b in enumerate(basis):
-                acc[d] += coef[k] * b
-        if k + 1 < n:
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, b in enumerate(basis):
-                nxt[d] -= b * points[k]
-                nxt[d + 1] += b
-            basis = nxt
-    ints = []
-    for c in acc:
-        if c.denominator != 1:
-            raise IntegralityViolation(f"non-integer interpolated coefficient {c}")
-        ints.append(c.numerator)
-    return IntPoly(ints)
+            q, r = divmod(coef[i] - coef[i - 1], points[i] - points[i - j])
+            if r:
+                raise IntegralityViolation("interpolant has a non-integer coefficient")
+            coef[i] = q
+    # Horner in the Newton basis: acc = acc * (u - points[k]) + coef[k]
+    acc: list[int] = []
+    for k in range(n - 1, -1, -1):
+        nxt = [coef[k]] + acc
+        for d, a in enumerate(acc):
+            nxt[d] -= a * points[k]
+        acc = nxt
+    return IntPoly(acc)

@@ -7,8 +7,8 @@ is the Bass determinant polynomial.  Independent oracles computed here:
 * the Hashimoto (non-backtracking edge) operator B, whose determinant
   det(I - u*B) equals the reciprocal zeta function; it is the reversed
   characteristic polynomial of B, computed by the modular Hessenberg
-  kernel ``charpoly``, while f goes through ``polymat_det``, so the two
-  sides share no determinant kernel;
+  kernel ``charpoly``, while f goes through the prime-free
+  ``polymat_det``, so the two sides share no determinant kernel;
 * the closed non-backtracking walk series sum_k trace(B^k) u^k / k, which
   must match the truncated -log of the reciprocal zeta function;
 * the Matrix-Tree spanning tree count tau, tied to f by the derivative

@@ -57,3 +57,27 @@ def frac_matmul(a, b):
 
 def frac_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def frac_interpolate(points, values):
+    """Coefficients, lowest degree first, of the interpolant through the data.
+
+    Newton divided differences over Fraction, expanded into the monomial
+    basis; the result may have non-integer coefficients.
+    """
+    n = len(points)
+    coef = [Fraction(v) for v in values]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
+    acc = [Fraction(0)] * n
+    basis = [Fraction(1)]
+    for k in range(n):
+        for d, b in enumerate(basis):
+            acc[d] += coef[k] * b
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for d, b in enumerate(basis):
+            nxt[d] -= b * points[k]
+            nxt[d + 1] += b
+        basis = nxt
+    return acc

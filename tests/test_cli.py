@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -146,7 +147,40 @@ def test_corpus_verify_small(capsys):
 
 
 def test_corpus_verify_deterministic_output(capsys):
-    assert main(["corpus-verify", "--max-vertices", "6", "--seed", "1"]) == 0
+    assert main(["corpus-verify", "--max-vertices", "6"]) == 0
     first = capsys.readouterr().out
-    assert main(["corpus-verify", "--max-vertices", "6", "--seed", "2"]) == 0
+    assert main(["corpus-verify", "--max-vertices", "6"]) == 0
     assert capsys.readouterr().out == first
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_corpus_verify_stdout_matches_golden(capsys):
+    assert main(["corpus-verify", "--max-vertices", "8"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "corpus_verify_max8.stdout").read_text()
+
+
+def test_verify_join_report_matches_golden(tmp_path, capsys):
+    k23 = _graph_file(tmp_path, "k23.json", gen_complete_bipartite(2, 3).graph)
+    c6 = _graph_file(tmp_path, "c6.json", gen_even_cycle(3).graph)
+    assert main(["verify-join", k23, c6]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["spectrum_numeric_error"]  # a float, not an exact output
+    checks = (
+        "spectrum_identity", "spectrum_numeric", "zeta_identity", "tau_triple",
+        "no_symmetric_roots", "edge_oracle", "series_match",
+    )
+    assert report == {
+        "label": "join",
+        "vertices": 11,
+        "edges": 42,
+        "tau": "131383296",
+        "checks": dict.fromkeys(checks, True),
+        "params": {
+            "nu1": 5, "nu2": 6, "eps1": 6, "eps2": 6,
+            "q1": 3, "q2": 2, "q3": 2, "q4": 2,
+            "n1": 2, "n2": 3, "n3": 3, "n4": 3,
+            "k1": 1, "k2": 3,
+        },
+    }

@@ -27,6 +27,7 @@ from zetajoin import (
     zeta_closed_form,
     zeta_reciprocal,
 )
+from zetajoin import joinform
 
 K11 = gen_complete_bipartite(1, 1)
 K23 = gen_complete_bipartite(2, 3)
@@ -263,3 +264,31 @@ def test_verify_join_charpoly_vs_quartic_anchor(k4):
     assert charpoly(join(K11.graph, K11.graph).adjacency()) == quartic_f(
         join_params(K11, K11)
     )
+
+
+def test_verify_join_computes_each_quantity_once(monkeypatch):
+    calls = dict.fromkeys(("bass_poly", "factor_spectrum", "spanning_trees", "join"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(joinform, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(joinform, name, counted)
+    result = verify_join(K23, C6, include_edge_oracle=True)
+    assert result.passed
+    assert result.edge_oracle is True and result.series_match is True
+    assert calls == {"bass_poly": 1, "factor_spectrum": 2, "spanning_trees": 1, "join": 1}
+
+
+def test_verify_join_reports_only_the_failed_identity(monkeypatch):
+    real = joinform.quartic_f
+    # f - 1 breaks the spectrum identity but keeps f(0) < 0, and its odd
+    # part is linear, so no two of its roots sum to zero
+    monkeypatch.setattr(joinform, "quartic_f", lambda p: real(p) - 1)
+    result = verify_join(K23, C6, include_edge_oracle=True)
+    checks = result.to_dict()["checks"]
+    assert checks.pop("spectrum_identity") is False
+    assert checks.pop("spectrum_numeric") is False  # compared only after the identity
+    assert all(value is True for value in checks.values())
+    assert result.tau == 131383296

@@ -112,17 +112,11 @@ def _random_poly_matrix(rng, n, max_deg=2):
     return PolyMatrix(entries, degree_bound=n * max_deg)
 
 
-def test_polymat_engines_agree():
-    rng = random.Random(17)
-    for _ in range(15):
-        pm = _random_poly_matrix(rng, rng.randint(1, 5))
-        assert polymat_det(pm, engine="bareiss") == polymat_det(pm, engine="modular")
-
-
-def test_polymat_engines_agree_above_cutoff():
+def test_polymat_det_matches_reversed_charpoly():
     from zetajoin import gen_even_cycle, hashimoto
 
-    b = hashimoto(gen_even_cycle(5).graph)  # 40 arcs, past the auto cutoff
+    # det(I - uB) on 40 arcs against the modular Hessenberg kernel
+    b = hashimoto(gen_even_cycle(5).graph)
     minus_u = IntPoly([0, -1])
     rows = tuple(
         tuple(
@@ -132,17 +126,23 @@ def test_polymat_engines_agree_above_cutoff():
         for i in range(b.size)
     )
     pm = PolyMatrix(rows, degree_bound=b.size)
-    assert polymat_det(pm, engine="modular") == polymat_det(pm, engine="bareiss")
+    assert polymat_det(pm) == IntPoly(reversed(charpoly(b.matrix).coeffs))
+
+
+def _check_substitution(pm, rng):
+    det = polymat_det(pm)
+    for _ in range(10):
+        t = rng.randint(-20, 20)
+        assert det(t) == bareiss_det(pm.eval_at(t))
 
 
 def test_polymat_det_matches_integer_substitution():
     rng = random.Random(23)
     for _ in range(10):
-        pm = _random_poly_matrix(rng, rng.randint(1, 4))
-        det = polymat_det(pm)
-        for _ in range(10):
-            t = rng.randint(-20, 20)
-            assert det(t) == bareiss_det(pm.eval_at(t))
+        _check_substitution(_random_poly_matrix(rng, rng.randint(1, 4)), rng)
+    rng = random.Random(17)
+    for pm in [_random_poly_matrix(rng, rng.randint(1, 5)) for _ in range(15)]:
+        _check_substitution(pm, rng)
 
 
 def test_polymat_det_overestimated_bound():
@@ -150,11 +150,6 @@ def test_polymat_det_overestimated_bound():
     entries = ((x, IntPoly([-1])), (IntPoly([-1]), x))
     loose = PolyMatrix(entries, degree_bound=7)
     assert polymat_det(loose) == IntPoly([-1, 0, 1])
-
-
-def test_polymat_unknown_engine():
-    with pytest.raises(ValueError):
-        polymat_det(PolyMatrix(((IntPoly([1]),),), degree_bound=0), engine="magic")
 
 
 def test_charpoly_k2():
@@ -237,7 +232,7 @@ def _char_matrix(m):
 )
 @given(int_matrices())
 def test_charpoly_matches_bareiss_interpolation(m):
-    assert charpoly(m) == polymat_det(_char_matrix(m), engine="bareiss")
+    assert charpoly(m) == polymat_det(_char_matrix(m))
 
 
 def test_charpoly_large_entries_beyond_int64():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ratlinalg import frac_interpolate
 from zetajoin import (
     ConstantTermNotOneError,
     ExactDivisionFailure,
@@ -149,6 +152,34 @@ def test_interpolation_points_are_canonical():
 def test_interpolation_integrality_violation():
     with pytest.raises(IntegralityViolation):
         interpolate_at_integers([0, 2], [0, 1])
+
+
+_interpolation_settings = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+@_interpolation_settings
+@given(st.lists(st.integers(-(10**6), 10**6), unique=True, max_size=14), st.data())
+def test_interpolation_roundtrip_at_arbitrary_points(points, data):
+    coeffs = data.draw(st.lists(st.integers(-(10**9), 10**9), max_size=len(points)))
+    p = IntPoly(coeffs)
+    assert interpolate_at_integers(points, [p(t) for t in points]) == p
+
+
+@_interpolation_settings
+@given(st.lists(st.integers(-8, 8), unique=True, max_size=8), st.data())
+def test_interpolation_raises_iff_rational_interpolant_is_not_integral(points, data):
+    # integer polynomial data, then a few values nudged by +-1
+    base = IntPoly(data.draw(st.lists(st.integers(-50, 50), max_size=len(points))))
+    nudges = st.sampled_from([0, 0, 0, 1, -1])
+    values = [base(t) + data.draw(nudges) for t in points]
+    expected = frac_interpolate(points, values)
+    if all(c.denominator == 1 for c in expected):
+        assert interpolate_at_integers(points, values) == IntPoly(int(c) for c in expected)
+    else:
+        with pytest.raises(IntegralityViolation):
+            interpolate_at_integers(points, values)
 
 
 def test_ratpoly_arithmetic():

@@ -176,18 +176,17 @@ def test_edge_oracle_uses_no_polymat_det(monkeypatch, petersen):
     for module, name in [
         (zeta, "polymat_det"),
         (matrices, "polymat_det"),
-        (matrices, "_det_mod_p"),
-        (matrices, "_newton_interp_mod"),
     ]:
         monkeypatch.setattr(module, name, _forbidden(name))
     assert [edge_zeta_reciprocal(g) for g in graphs] == expected
 
 
 def test_bass_poly_uses_no_hessenberg_kernel(monkeypatch, k4):
-    c26 = gen_even_cycle(13).graph  # n = 26: the modular polymat_det engine
+    # the Bass side is prime-free: no Hessenberg kernel, primes or CRT
+    c26 = gen_even_cycle(13).graph  # n = 26: 53 Bareiss evaluations
     expected_k4 = edge_zeta_reciprocal(k4).divexact(ONE_MINUS_U2**2)
-    monkeypatch.setattr(matrices, "_charpoly_mod_p", _forbidden("_charpoly_mod_p"))
-    monkeypatch.setattr(matrices, "charpoly", _forbidden("charpoly"))
+    for name in ("_charpoly_mod_p", "charpoly", "_certified_primes", "_crt"):
+        monkeypatch.setattr(matrices, name, _forbidden(name))
     monkeypatch.setattr(zeta, "charpoly", _forbidden("charpoly"))
     assert bass_poly(k4) == expected_k4
     assert bass_poly(c26) == IntPoly([1] + [0] * 25 + [-1]) ** 2
