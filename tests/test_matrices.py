@@ -129,20 +129,35 @@ def test_polymat_det_matches_reversed_charpoly():
     assert polymat_det(pm) == IntPoly(reversed(charpoly(b.matrix).coeffs))
 
 
-def _check_substitution(pm, rng):
-    det = polymat_det(pm)
-    for _ in range(10):
-        t = rng.randint(-20, 20)
-        assert det(t) == bareiss_det(pm.eval_at(t))
+def _laplace_det(rows):
+    # cofactor expansion along the first row, straight in IntPoly arithmetic
+    if not rows:
+        return IntPoly.one()
+    acc = IntPoly()
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            term = entry * _laplace_det(minor)
+            acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def test_polymat_engines_agree():
+    # the interpolating engine against cofactor expansion over IntPoly
+    rng = random.Random(17)
+    for _ in range(15):
+        pm = _random_poly_matrix(rng, rng.randint(1, 5))
+        assert polymat_det(pm) == _laplace_det([list(row) for row in pm.entries])
 
 
 def test_polymat_det_matches_integer_substitution():
     rng = random.Random(23)
     for _ in range(10):
-        _check_substitution(_random_poly_matrix(rng, rng.randint(1, 4)), rng)
-    rng = random.Random(17)
-    for pm in [_random_poly_matrix(rng, rng.randint(1, 5)) for _ in range(15)]:
-        _check_substitution(pm, rng)
+        pm = _random_poly_matrix(rng, rng.randint(1, 4))
+        det = polymat_det(pm)
+        for _ in range(10):
+            t = rng.randint(-20, 20)
+            assert det(t) == bareiss_det(pm.eval_at(t))
 
 
 def test_polymat_det_overestimated_bound():
